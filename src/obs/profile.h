@@ -1,5 +1,7 @@
 // Phase profiler: fixed-slot wall-time accounting for the hot loops
-// (engine sweeps, RLE encode, window combining, federation merging).
+// (engine sweeps, bank RLE sizing/encoding, window combining, federation
+// merging). Phases may nest: RLE sizing runs inside the engine sweep, so
+// its time is also part of the sweep's.
 // Phases are a compile-time enum -- no registration, no strings on the
 // hot path -- and merge across trial shards by element-wise addition.
 // Note that phase nanoseconds are wall time and therefore NOT part of any
@@ -15,7 +17,7 @@ namespace td::obs {
 enum class Phase : uint8_t {
   kSweep = 0,      // engine level sweep (tree / ring / TD, object + SoA)
   kAdapt,          // TD shrink/expand decision + switch broadcast
-  kRleEncode,      // bank RLE encoding (sketch/rle)
+  kRleEncode,      // bank RLE sizing + encoding (sketch/rle); nests in kSweep
   kWindowCombine,  // two-stacks / hopping window combining at the base
   kFedMerge,       // coordinator root-state merging
   kNumPhases,

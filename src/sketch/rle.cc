@@ -2,6 +2,10 @@
 
 #include <bit>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "obs/telemetry.h"
 #include "util/check.h"
 
@@ -174,64 +178,84 @@ size_t RleEncodedBytes(const std::vector<uint32_t>& bitmaps) {
 
 namespace {
 
-// The bank codec's hot core. The bank is transposed once into a
-// position-major bit stream (bit index pos*count + j holds bit `pos` of
-// bitmaps[j]), packed LSB-first into 64-bit words; runs are then scanned a
-// word at a time with countr_one. Transposition iterates only the *set*
-// bits of each bitmap (a populated FM bitmap has ~log2(n) of 32 set), so
-// the whole pass is far below one operation per bank bit.
+// The bank codec's hot core: the row-window transition kernel described in
+// rle.h. Row r of the position-major stream is stream bits
+// [r*count, (r+1)*count), bit r of every bitmap in bank order.
 
-// Reusable transposition buffer: BankRleBytes runs once or twice per
-// simulated message, so the words must not be reallocated per call.
-std::vector<uint64_t>& TransposeScratch() {
-  thread_local std::vector<uint64_t> words;
-  return words;
-}
-
-void TransposeBank(const uint32_t* bitmaps, size_t count,
-                   std::vector<uint64_t>* words) {
-  const size_t total = count * 32;
-  words->assign((total + 63) / 64, 0);
-  for (size_t j = 0; j < count; ++j) {
-    uint32_t bm = bitmaps[j];
-    while (bm != 0) {
-      int pos = std::countr_zero(bm);
-      bm &= bm - 1;
-      size_t idx = static_cast<size_t>(pos) * count + j;
-      (*words)[idx >> 6] |= 1ULL << (idx & 63);
-    }
+// Gathers bit `row` of p[0..n), n <= 64, into bits 0..n-1 of a word.
+inline uint64_t GatherRowWord(const uint32_t* p, size_t n, int row) {
+  uint64_t w = 0;
+  size_t j = 0;
+#if defined(__SSE2__)
+  // Shift the row's bit into each lane's sign bit; signed-saturating packs
+  // keep the sign, so one byte movemask collects 16 bitmaps.
+  const __m128i shift = _mm_cvtsi32_si128(31 - row);
+  auto lanes = [&](size_t k) {
+    return _mm_sll_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + k)), shift);
+  };
+  for (; j + 16 <= n; j += 16) {
+    const __m128i lo = _mm_packs_epi32(lanes(j), lanes(j + 4));
+    const __m128i hi = _mm_packs_epi32(lanes(j + 8), lanes(j + 12));
+    w |= static_cast<uint64_t>(static_cast<uint32_t>(
+             _mm_movemask_epi8(_mm_packs_epi16(lo, hi))))
+         << j;
   }
+  for (; j + 4 <= n; j += 4) {
+    w |= static_cast<uint64_t>(_mm_movemask_ps(_mm_castsi128_ps(lanes(j))))
+         << j;
+  }
+#endif
+  // The portable gather: the whole row off x86, the < 4-bitmap tail on it.
+  for (; j < n; ++j) w |= static_cast<uint64_t>((p[j] >> row) & 1u) << j;
+  return w;
 }
 
-/// Calls fn(run_length) for each maximal run of equal bits in the first
-/// `total` bits of `words`, in stream order; the first run's bit value is
-/// words[0] & 1 and values alternate from there. Bits at index >= total
-/// must be zero (TransposeBank guarantees this).
+/// Calls fn(run_length) for each maximal run of equal bits of the bank's
+/// position-major stream (bit pos*count + j is bit `pos` of bitmaps[j]), in
+/// stream order. The first run's bit value is bit 0 of bitmaps[0], and
+/// values alternate from there. count >= 1.
 template <typename Fn>
-void ScanRuns(const std::vector<uint64_t>& words, size_t total, Fn&& fn) {
-  if (total == 0) return;
-  bool current = words[0] & 1;
-  size_t i = 0;
-  while (i < total) {
-    const size_t start = i;
-    for (;;) {
-      const size_t w = i >> 6;
-      const int off = static_cast<int>(i & 63);
-      uint64_t chunk = words[w] >> off;
-      if (!current) chunk = ~chunk;
-      const size_t match = static_cast<size_t>(std::countr_one(chunk));
-      const size_t avail = 64 - static_cast<size_t>(off);
-      if (match < avail) {
-        i += match;
-        break;
-      }
-      i += avail;
-      if (i >= total || (i >> 6) >= words.size()) break;
-    }
-    if (i > total) i = total;  // a zero run may spill into padding bits
-    fn(i - start);
-    current = !current;
+void ForEachRun(const uint32_t* bitmaps, size_t count, Fn&& fn) {
+  uint32_t all = ~0u;
+  uint32_t any = 0u;
+  for (size_t j = 0; j < count; ++j) {
+    all &= bitmaps[j];
+    any |= bitmaps[j];
   }
+  const uint32_t mixed = all ^ any;
+  // Bit r: the stream bit just before row r (row 0 reads as its own first).
+  const uint32_t before = bitmaps[count - 1] << 1 | (bitmaps[0] & 1u);
+  // Rows to visit: mixed ones, and uniform ones whose bit differs from the
+  // one before them (they start a run at their first bit).
+  uint32_t rows = mixed | (bitmaps[0] ^ before);
+  size_t run_start = 0;
+  while (rows != 0) {
+    const int row = std::countr_zero(rows);
+    rows &= rows - 1;
+    const size_t row_start = static_cast<size_t>(row) * count;
+    if ((mixed >> row & 1u) == 0) {
+      fn(row_start - run_start);
+      run_start = row_start;
+      continue;
+    }
+    uint64_t prev = before >> row & 1u;
+    for (size_t j = 0; j < count; j += 64) {
+      const size_t n = count - j < 64 ? count - j : 64;
+      const uint64_t w = GatherRowWord(bitmaps + j, n, row);
+      uint64_t starts = w ^ (w << 1 | prev);
+      if (n < 64) starts &= (1ULL << n) - 1;
+      while (starts != 0) {
+        const size_t at =
+            row_start + j + static_cast<size_t>(std::countr_zero(starts));
+        starts &= starts - 1;
+        fn(at - run_start);
+        run_start = at;
+      }
+      prev = w >> 63;  // carries into the next word only after a full one
+    }
+  }
+  fn(count * 32 - run_start);
 }
 
 inline size_t GammaBits(uint64_t n) {
@@ -261,10 +285,9 @@ std::vector<uint8_t> EncodeBankRle(const std::vector<uint32_t>& bitmaps) {
   TD_PROFILE_SCOPE(obs::Phase::kRleEncode);
   BitWriter w;
   if (bitmaps.empty()) return w.bytes();
-  std::vector<uint64_t>& words = TransposeScratch();
-  TransposeBank(bitmaps.data(), bitmaps.size(), &words);
-  w.WriteBit(words[0] & 1);
-  ScanRuns(words, bitmaps.size() * 32, [&w](uint64_t run) { w.WriteGamma(run); });
+  w.WriteBit(bitmaps[0] & 1u);
+  ForEachRun(bitmaps.data(), bitmaps.size(),
+             [&w](uint64_t run) { w.WriteGamma(run); });
   return w.bytes();
 }
 
@@ -310,12 +333,10 @@ size_t BankRleBytes(const std::vector<uint32_t>& bitmaps) {
 }
 
 size_t BankRleBytes(const uint32_t* bitmaps, size_t count) {
+  TD_PROFILE_SCOPE(obs::Phase::kRleEncode);
   if (count == 0) return 0;
-  std::vector<uint64_t>& words = TransposeScratch();
-  TransposeBank(bitmaps, count, &words);
   size_t bits = 1;
-  ScanRuns(words, count * 32,
-           [&bits](uint64_t run) { bits += GammaBits(run); });
+  ForEachRun(bitmaps, count, [&bits](uint64_t run) { bits += GammaBits(run); });
   return (bits + 7) / 8;
 }
 

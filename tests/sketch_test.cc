@@ -4,10 +4,13 @@
 // the same logical contribution) must not change it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <string>
 #include <vector>
 
+#include "core/soa_layout.h"
 #include "sketch/fm_sketch.h"
 #include "sketch/kmv_sketch.h"
 #include "sketch/rle.h"
@@ -239,6 +242,8 @@ size_t BankRleBytes(const std::vector<uint32_t>& bitmaps) {
 
 }  // namespace reference
 
+constexpr int kAdversarialKinds = 9;
+
 std::vector<uint32_t> AdversarialBank(int which, int count, Rng* rng) {
   std::vector<uint32_t> bank;
   for (int i = 0; i < count; ++i) {
@@ -255,31 +260,71 @@ std::vector<uint32_t> AdversarialBank(int which, int count, Rng* rng) {
       case 3:
         bank.push_back(static_cast<uint32_t>(rng->Next()));  // random
         break;
-      default:
+      case 4:
         bank.push_back(static_cast<uint32_t>(rng->Next()) &
                        static_cast<uint32_t>(rng->Next()));  // sparse random
+        break;
+      case 5:
+        bank.push_back(0xf0f0f0f0u);  // uniform rows, a run every 4 rows
+        break;
+      case 6:
+        bank.push_back(0xaaaaaaaau);  // uniform rows, a run every row
+        break;
+      case 7:
+        // Row 0 uniformly clear and row 1 uniformly set above random rows.
+        bank.push_back((static_cast<uint32_t>(rng->Next()) & ~1u) | 2u);
+        break;
+      default:
+        // Row 31 is the only mixed row.
+        bank.push_back(0x7fffffffu | (i % 3 == 1 ? 0x80000000u : 0u));
     }
   }
   return bank;
+}
+
+/// Calls fn(bank, keys) on a `width`-bitmap FM bank as it fills from 0 to
+/// 200k keys, at geometrically spaced fill levels.
+template <typename Fn>
+void ForEachFmFill(int width, Fn&& fn) {
+  std::vector<uint64_t> fills = {50, 5000, 200000};
+  for (uint64_t n = 0; n < 200000; n += std::max<uint64_t>(1, n / 8)) {
+    fills.push_back(n);
+  }
+  std::sort(fills.begin(), fills.end());
+  fills.erase(std::unique(fills.begin(), fills.end()), fills.end());
+  FmSketch s(width, 17);
+  uint64_t added = 0;
+  for (uint64_t n : fills) {
+    for (; added < n; ++added) s.AddKey(added);
+    fn(s.bitmaps(), n);
+  }
 }
 
 TEST(RleTest, BankCodecPropertyRoundtrip) {
   // Random and adversarial banks over several bank widths: encoding must
   // round-trip and BankRleBytes must always equal the encoded size.
   Rng rng(311);
-  for (int count : {1, 3, 40, 64, 100}) {
-    for (int which = 0; which < 5; ++which) {
+  auto check = [](const std::vector<uint32_t>& bank, const std::string& what) {
+    auto bytes = EncodeBankRle(bank);
+    EXPECT_EQ(bytes.size(), BankRleBytes(bank)) << what;
+    auto decoded = DecodeBankRle(bytes, bank.size());
+    ASSERT_TRUE(decoded.ok()) << what;
+    EXPECT_EQ(decoded.value(), bank) << what;
+  };
+  for (int count : {1, 3, 31, 32, 33, 40, 63, 64, 100, 128}) {
+    for (int which = 0; which < kAdversarialKinds; ++which) {
       for (int trial = 0; trial < 8; ++trial) {
-        std::vector<uint32_t> bank = AdversarialBank(which, count, &rng);
-        auto bytes = EncodeBankRle(bank);
-        EXPECT_EQ(bytes.size(), BankRleBytes(bank))
-            << "count=" << count << " which=" << which;
-        auto decoded = DecodeBankRle(bytes, bank.size());
-        ASSERT_TRUE(decoded.ok());
-        EXPECT_EQ(decoded.value(), bank)
-            << "count=" << count << " which=" << which;
+        check(AdversarialBank(which, count, &rng),
+              "count=" + std::to_string(count) +
+                  " which=" + std::to_string(which));
       }
     }
+  }
+  for (int width : {40, 64}) {
+    ForEachFmFill(width, [&](const std::vector<uint32_t>& bank, uint64_t n) {
+      check(bank, "width=" + std::to_string(width) +
+                      " keys=" + std::to_string(n));
+    });
   }
 }
 
@@ -287,8 +332,8 @@ TEST(RleTest, WordLevelBitMatchesBitAtATimeReference) {
   // Golden: the fast paths must produce byte-identical encodings and
   // identical sizes to the original bit-at-a-time implementation.
   Rng rng(313);
-  for (int count : {1, 7, 40, 65}) {
-    for (int which = 0; which < 5; ++which) {
+  for (int count : {1, 7, 31, 32, 33, 40, 63, 64, 65, 128}) {
+    for (int which = 0; which < kAdversarialKinds; ++which) {
       std::vector<uint32_t> bank = AdversarialBank(which, count, &rng);
       EXPECT_EQ(EncodeBankRle(bank), reference::EncodeBankRle(bank))
           << "count=" << count << " which=" << which;
@@ -296,12 +341,29 @@ TEST(RleTest, WordLevelBitMatchesBitAtATimeReference) {
           << "count=" << count << " which=" << which;
     }
   }
-  // Populated FM banks, various fill levels.
-  for (uint64_t n : {1ull, 50ull, 5000ull, 200000ull}) {
-    FmSketch s(40, 17);
-    for (uint64_t k = 0; k < n; ++k) s.AddKey(k);
-    EXPECT_EQ(EncodeBankRle(s.bitmaps()), reference::EncodeBankRle(s.bitmaps()));
-    EXPECT_EQ(BankRleBytes(s.bitmaps()), reference::BankRleBytes(s.bitmaps()));
+  // Populated FM banks, fill levels from empty to 200k keys.
+  for (int width : {40, 64}) {
+    ForEachFmFill(width, [&](const std::vector<uint32_t>& bank, uint64_t n) {
+      EXPECT_EQ(EncodeBankRle(bank), reference::EncodeBankRle(bank))
+          << "width=" << width << " keys=" << n;
+      EXPECT_EQ(BankRleBytes(bank), reference::BankRleBytes(bank))
+          << "width=" << width << " keys=" << n;
+    });
+  }
+  // The span overload sizes an interior arena slot in place, exactly as
+  // the vector overload sizes a copy; all-ones neighbors must not bleed in.
+  for (int width : {33, 40}) {
+    FmSketch s(width, 19);
+    for (uint64_t k = 0; k < 3000; ++k) s.AddKey(k);
+    BankArena arena;
+    arena.Reset(5, static_cast<size_t>(width));
+    for (size_t slot = 0; slot < 5; ++slot) {
+      std::fill_n(arena.Slot(slot), width, ~0u);
+    }
+    std::copy(s.bitmaps().begin(), s.bitmaps().end(), arena.Slot(2));
+    EXPECT_EQ(BankRleBytes(arena.Slot(2), static_cast<size_t>(width)),
+              BankRleBytes(s.bitmaps()))
+        << "width=" << width;
   }
 }
 
